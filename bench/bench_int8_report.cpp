@@ -8,8 +8,15 @@
 //   * throughput: int8_ms vs fast_ms and their ratio (speedup_int8_vs_fast)
 //   * exactness:  the int8 output is memcmp-identical to the QModel integer
 //     oracle (reported as "exact_vs_qmodel") — not a tolerance check.
-// The selected GEMM micro-kernel (s8-vnni / s8-avx2 / s8-generic) is
-// reported so regressions can be attributed to dispatch changes.
+// The selected GEMM micro-kernel (s8-vnni / s8-avx2 / s8-generic) and
+// depthwise instance (dw-s8-avx512 / dw-s8-avx2 / dw-s8-generic) are
+// reported with the host's CPU model, ISA flags and core count, so
+// regressions can be attributed to dispatch changes.
+//
+// A per-shape table times every depthwise plane of MCUNet r96 at batch 1 on
+// each runnable depthwise instance: legacy (generic) vs dispatched
+// microseconds, the dispatched GOP/s, and whether every instance's output
+// is memcmp-equal to the generic one.
 //
 // Usage: bench_int8_report [--quick] [--out <path>]
 //   --quick  small graphs, fewer batches, short windows (the CI setting)
@@ -19,6 +26,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <string>
 #include <thread>
@@ -28,6 +36,7 @@
 #include "export/flat_synth.h"
 #include "export/infer_plan.h"
 #include "export/qmodel.h"
+#include "tensor/depthwise.h"
 #include "tensor/gemm_s8.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
@@ -47,21 +56,26 @@ struct Budget {
   int repeats;
 };
 
+// Mean seconds per call of `fn` over one window of at least `window_s`.
+double window_seconds(double window_s, const std::function<void()>& fn) {
+  int64_t iters = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  double elapsed = 0.0;
+  do {
+    fn();
+    ++iters;
+    elapsed =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+  } while (elapsed < window_s);
+  return elapsed / static_cast<double>(iters);
+}
+
 double bench_seconds(const Budget& budget, const std::function<void()>& fn) {
   fn();  // warmup / first-touch
   double best = 1e100;
   for (int r = 0; r < budget.repeats; ++r) {
-    int64_t iters = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    double elapsed = 0.0;
-    do {
-      fn();
-      ++iters;
-      elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              t0)
-                    .count();
-    } while (elapsed < budget.window_s);
-    best = std::min(best, elapsed / static_cast<double>(iters));
+    best = std::min(best, window_seconds(budget.window_s, fn));
   }
   return best;
 }
@@ -92,6 +106,136 @@ struct Result {
   int64_t fast_arena_bytes = 0;  // float fast plan, for the memory delta
   int64_t ops = 0;
 };
+
+// One depthwise layer of a graph: `channels` planes of one shape.
+struct DwRow {
+  int64_t channels = 0, h = 0, w = 0, k = 0, s = 1, pad = 0, oh = 0, ow = 0;
+  std::vector<double> instance_us;  // per depthwise_s8 instance, in order
+  bool exact = false;               // every instance == generic, memcmp
+  double legacy_us() const { return instance_us.front(); }
+  double dispatched_us() const { return instance_us.back(); }
+  double ops() const {
+    return 2.0 * static_cast<double>(channels * oh * ow * k * k);
+  }
+};
+
+std::vector<DwRow> depthwise_layers(const FlatModel& m, int64_t res) {
+  std::vector<DwRow> rows;
+  int64_t hw = res;
+  for (const FlatOp& op : m.ops()) {
+    if (op.kind != OpKind::conv) continue;
+    const FlatConv& c = op.conv;
+    const int64_t out = (hw + 2 * c.pad - c.kernel) / c.stride + 1;
+    if (c.groups == c.cin && c.groups == c.cout) {
+      DwRow r;
+      r.channels = c.cout;
+      r.h = r.w = hw;
+      r.k = c.kernel;
+      r.s = c.stride;
+      r.pad = c.pad;
+      r.oh = r.ow = out;
+      rows.push_back(r);
+    }
+    hw = out;
+  }
+  return rows;
+}
+
+// Times one batch-1 pass of each depthwise layer (every channel's plane)
+// on every runnable instance, single-threaded, and checks each instance's
+// output against the generic one.
+void bench_depthwise(std::vector<DwRow>& rows, const Budget& budget) {
+  Rng rng(77);
+  for (DwRow& r : rows) {
+    const int64_t in_plane = r.h * r.w;
+    const int64_t out_plane = r.oh * r.ow;
+    std::vector<uint8_t> img(static_cast<size_t>(r.channels * in_plane));
+    std::vector<int8_t> ker(static_cast<size_t>(r.channels * r.k * r.k));
+    for (uint8_t& b : img) b = static_cast<uint8_t>(rng.randint(256));
+    for (int8_t& v : ker) v = static_cast<int8_t>(rng.randint(255) - 127);
+    std::vector<int32_t> want, got(static_cast<size_t>(r.channels * out_plane));
+    const auto pass = [&](int inst) {
+      for (int64_t c = 0; c < r.channels; ++c) {
+        depthwise_s8_run_instance(inst, img.data() + c * in_plane,
+                                  ker.data() + c * r.k * r.k,
+                                  got.data() + c * out_plane, r.h, r.w, r.oh,
+                                  r.ow, r.k, r.s, r.pad);
+      }
+    };
+    const int n = depthwise_s8_instance_count();
+    r.exact = true;
+    for (int i = 0; i < n; ++i) {
+      pass(i);
+      if (i == 0) {
+        want = got;
+      } else if (got != want) {
+        r.exact = false;
+      }
+    }
+    // The instances take turns window by window, so a burst of host
+    // contention slows one window of each rather than every window of one.
+    r.instance_us.assign(static_cast<size_t>(n), 1e100);
+    for (int rep = 0; rep < budget.repeats; ++rep) {
+      for (int i = 0; i < n; ++i) {
+        double& best = r.instance_us[static_cast<size_t>(i)];
+        best = std::min(best, window_seconds(budget.window_s,
+                                             [&] { pass(i); }) * 1e6);
+      }
+    }
+    std::fprintf(stderr,
+                 "  dw c%lld %lldx%lld k%lld s%lld: legacy %.1f us | "
+                 "%s %.1f us | %.2f GOP/s%s\n",
+                 static_cast<long long>(r.channels),
+                 static_cast<long long>(r.h), static_cast<long long>(r.w),
+                 static_cast<long long>(r.k), static_cast<long long>(r.s),
+                 r.legacy_us(), depthwise_s8_kernel_name(), r.dispatched_us(),
+                 r.ops() / r.dispatched_us() / 1e3,
+                 r.exact ? " | exact" : " | MISMATCH");
+  }
+}
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        return line.substr(colon + 2);
+      }
+    }
+  }
+  return "unknown";
+}
+
+// The ISA features the s8 kernel dispatchers test for.
+std::string isa_flags() {
+  std::string out;
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  const auto add = [&](const char* name, bool has) {
+    if (!has) return;
+    out += out.empty() ? "" : " ";
+    out += name;
+  };
+  add("avx2", __builtin_cpu_supports("avx2"));
+  add("fma", __builtin_cpu_supports("fma"));
+  add("avx512f", __builtin_cpu_supports("avx512f"));
+  add("avx512bw", __builtin_cpu_supports("avx512bw"));
+  add("avx512vl", __builtin_cpu_supports("avx512vl"));
+  add("avx512vnni", __builtin_cpu_supports("avx512vnni"));
+  add("avx512vbmi", __builtin_cpu_supports("avx512vbmi"));
+#endif
+  return out;
+}
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  for (char ch : s) {
+    if (ch == '"' || ch == '\\') out.push_back('\\');
+    if (static_cast<unsigned char>(ch) >= 0x20) out.push_back(ch);
+  }
+  return out;
+}
 
 bool bitwise_equal(const Tensor& a, const Tensor& b) {
   return a.same_shape(b) &&
@@ -153,8 +297,52 @@ void bench_graph(const std::string& name, const FlatModel& model, int64_t res,
   }
 }
 
+void write_depthwise_json(FILE* f, const std::vector<DwRow>& rows) {
+  double legacy = 0.0, dispatched = 0.0;
+  bool all_exact = true;
+  for (const DwRow& r : rows) {
+    legacy += r.legacy_us();
+    dispatched += r.dispatched_us();
+    all_exact = all_exact && r.exact;
+  }
+  const int n = depthwise_s8_instance_count();
+  std::fprintf(f, "  \"depthwise_mcunet_r96_b1\": {\n");
+  std::fprintf(f, "    \"legacy\": \"%s\",\n", depthwise_s8_instance_name(0));
+  std::fprintf(f, "    \"dispatched\": \"%s\",\n",
+               depthwise_s8_kernel_name());
+  std::fprintf(f, "    \"legacy_total_us\": %.3f,\n", legacy);
+  std::fprintf(f, "    \"dispatched_total_us\": %.3f,\n", dispatched);
+  std::fprintf(f, "    \"all_exact\": %s,\n", all_exact ? "true" : "false");
+  std::fprintf(f, "    \"rows\": [\n");
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const DwRow& r = rows[i];
+    std::fprintf(f,
+                 "      {\"channels\": %lld, \"h\": %lld, \"w\": %lld, "
+                 "\"k\": %lld, \"s\": %lld, \"pad\": %lld, \"oh\": %lld, "
+                 "\"ow\": %lld, \"ops\": %.0f, \"legacy_us\": %.3f, "
+                 "\"dispatched_us\": %.3f, \"gops\": %.3f, \"exact\": %s, "
+                 "\"instance_us\": {",
+                 static_cast<long long>(r.channels),
+                 static_cast<long long>(r.h), static_cast<long long>(r.w),
+                 static_cast<long long>(r.k), static_cast<long long>(r.s),
+                 static_cast<long long>(r.pad), static_cast<long long>(r.oh),
+                 static_cast<long long>(r.ow), r.ops(), r.legacy_us(),
+                 r.dispatched_us(), r.ops() / r.dispatched_us() / 1e3,
+                 r.exact ? "true" : "false");
+    for (int j = 0; j < n; ++j) {
+      std::fprintf(f, "%s\"%s\": %.3f", j > 0 ? ", " : "",
+                   depthwise_s8_instance_name(j),
+                   r.instance_us[static_cast<size_t>(j)]);
+    }
+    std::fprintf(f, "}}%s\n", i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(f, "    ]\n");
+  std::fprintf(f, "  },\n");
+}
+
 void write_json(const std::string& path, bool quick,
-                const std::vector<Result>& results) {
+                const std::vector<Result>& results,
+                const std::vector<DwRow>& dw_rows) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
@@ -169,10 +357,14 @@ void write_json(const std::string& path, bool quick,
     }
   }
   std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"nb-bench-int8-v1\",\n");
+  std::fprintf(f, "  \"schema\": \"nb-bench-int8-v2\",\n");
   std::fprintf(f, "  \"bench\": \"int8\",\n");
   std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
   std::fprintf(f, "  \"kernel\": \"%s\",\n", gemm_s8_kernel_name());
+  std::fprintf(f, "  \"depthwise_kernel\": \"%s\",\n",
+               depthwise_s8_kernel_name());
+  std::fprintf(f, "  \"cpu\": \"%s\",\n", json_escape(cpu_model()).c_str());
+  std::fprintf(f, "  \"isa\": \"%s\",\n", isa_flags().c_str());
   std::fprintf(f, "  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
   if (headline != nullptr) {
@@ -191,6 +383,7 @@ void write_json(const std::string& path, bool quick,
                  static_cast<long long>(headline->fast_arena_bytes));
     std::fprintf(f, "  },\n");
   }
+  write_depthwise_json(f, dw_rows);
   std::fprintf(f, "  \"results\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];
@@ -243,10 +436,18 @@ int main(int argc, char** argv) {
   // sides report their genuine best window.
   const Budget budget = quick ? Budget{0.05, 2} : Budget{0.25, 10};
 
-  std::fprintf(stderr, "int8 GEMM kernel: %s\n", gemm_s8_kernel_name());
+  std::fprintf(stderr, "int8 GEMM kernel: %s, depthwise: %s\n",
+               gemm_s8_kernel_name(), depthwise_s8_kernel_name());
   PoolSet pools;
   std::vector<Result> results;
   Rng rng(20260730);
+
+  // Per-shape depthwise table on MCUNet r96 at batch 1, in both modes: a
+  // pass is tens to hundreds of microseconds, so short windows suffice.
+  Rng dw_rng(96);
+  std::vector<DwRow> dw_rows =
+      depthwise_layers(make_mcunet_flat(dw_rng, 96, 100), 96);
+  bench_depthwise(dw_rows, quick ? Budget{0.01, 6} : Budget{0.05, 10});
 
   if (quick) {
     // Scaled-down graphs so the CI leg stays in seconds: the op mix is
@@ -264,7 +465,7 @@ int main(int argc, char** argv) {
                 results);
   }
 
-  write_json(out_path, quick, results);
+  write_json(out_path, quick, results, dw_rows);
   std::fprintf(stderr, "wrote %s (%zu results)\n", out_path.c_str(),
                results.size());
   return 0;

@@ -1,16 +1,22 @@
 #include "tensor/depthwise.h"
 
 #include <algorithm>
+#include <vector>
 
 namespace nb {
 
-#if defined(NB_DW_S8_AVX2)
 namespace detail {
+#if defined(NB_DW_S8_AVX2)
 void depthwise_plane_s8_avx2(const uint8_t* img, const int8_t* ker,
                              int32_t* out, int64_t h, int64_t w, int64_t oh,
                              int64_t ow, int64_t k, int64_t pad);
-}  // namespace detail
 #endif
+#if defined(NB_DW_S8_AVX512)
+void depthwise_plane_s8_avx512(const uint8_t* img, const int8_t* ker,
+                               int32_t* out, int64_t h, int64_t w, int64_t oh,
+                               int64_t ow, int64_t k, int64_t s, int64_t pad);
+#endif
+}  // namespace detail
 
 namespace {
 
@@ -110,6 +116,78 @@ void dw_plane_s8(const uint8_t* img, const int8_t* ker, int32_t* out,
   }
 }
 
+using DwS8Fn = void (*)(const uint8_t*, const int8_t*, int32_t*, int64_t,
+                        int64_t, int64_t, int64_t, int64_t, int64_t, int64_t);
+
+void dw_s8_generic(const uint8_t* img, const int8_t* ker, int32_t* out,
+                   int64_t h, int64_t w, int64_t oh, int64_t ow, int64_t k,
+                   int64_t s, int64_t pad) {
+  switch (k) {
+    case 3:
+      dw_plane_s8<3>(img, ker, out, h, w, oh, ow, k, s, pad);
+      break;
+    case 5:
+      dw_plane_s8<5>(img, ker, out, h, w, oh, ow, k, s, pad);
+      break;
+    default:
+      dw_plane_s8<0>(img, ker, out, h, w, oh, ow, k, s, pad);
+      break;
+  }
+}
+
+#if defined(NB_DW_S8_AVX2)
+// Stride-1 planes with at least 16 interior columns take the 16-wide AVX2
+// interior; every other plane runs the generic loops, whose templated edge
+// loop is faster than the AVX2 file's scalar one when no vector fits.
+void dw_s8_avx2(const uint8_t* img, const int8_t* ker, int32_t* out,
+                int64_t h, int64_t w, int64_t oh, int64_t ow, int64_t k,
+                int64_t s, int64_t pad) {
+  const int64_t ox_lo = std::min(ow, pad);
+  const int64_t interior_end = w - k + pad >= 0 ? w - k + pad + 1 : 0;
+  const int64_t interior = std::min(ow, interior_end) - ox_lo;
+  if (s == 1 && interior >= 16) {
+    detail::depthwise_plane_s8_avx2(img, ker, out, h, w, oh, ow, k, pad);
+  } else {
+    dw_s8_generic(img, ker, out, h, w, oh, ow, k, s, pad);
+  }
+}
+#endif
+
+struct DwS8Instance {
+  const char* name;
+  DwS8Fn fn;
+};
+
+// Every instance this build and CPU can run, slowest first. The integer
+// arithmetic is exact in all of them, so the choice is a pure performance
+// decision: the dispatcher takes the last one.
+const std::vector<DwS8Instance>& dw_s8_instances() {
+  static const std::vector<DwS8Instance> list = [] {
+    std::vector<DwS8Instance> v;
+    v.push_back({"dw-s8-generic", &dw_s8_generic});
+#if defined(NB_DW_S8_AVX2)
+    if (__builtin_cpu_supports("avx2")) {
+      v.push_back({"dw-s8-avx2", &dw_s8_avx2});
+    }
+#endif
+#if defined(NB_DW_S8_AVX512)
+    if (__builtin_cpu_supports("avx512bw") &&
+        __builtin_cpu_supports("avx512vbmi") &&
+        __builtin_cpu_supports("avx512vnni") &&
+        __builtin_cpu_supports("avx512vl")) {
+      v.push_back({"dw-s8-avx512", &detail::depthwise_plane_s8_avx512});
+    }
+#endif
+    return v;
+  }();
+  return list;
+}
+
+const DwS8Instance& dw_s8_active() {
+  static const DwS8Instance& active = dw_s8_instances().back();
+  return active;
+}
+
 }  // namespace
 
 void depthwise_plane(const float* img, const float* ker, float* out,
@@ -131,27 +209,24 @@ void depthwise_plane(const float* img, const float* ker, float* out,
 void depthwise_plane_s8(const uint8_t* img, const int8_t* ker, int32_t* out,
                         int64_t h, int64_t w, int64_t oh, int64_t ow,
                         int64_t k, int64_t s, int64_t pad) {
-#if defined(NB_DW_S8_AVX2)
-  // Stride-1 planes (the bulk of depthwise work) take the 8-wide AVX2
-  // instance; the integer arithmetic is exact either way, so routing is a
-  // pure performance decision.
-  static const bool use_avx2 = __builtin_cpu_supports("avx2");
-  if (use_avx2 && s == 1) {
-    detail::depthwise_plane_s8_avx2(img, ker, out, h, w, oh, ow, k, pad);
-    return;
-  }
-#endif
-  switch (k) {
-    case 3:
-      dw_plane_s8<3>(img, ker, out, h, w, oh, ow, k, s, pad);
-      break;
-    case 5:
-      dw_plane_s8<5>(img, ker, out, h, w, oh, ow, k, s, pad);
-      break;
-    default:
-      dw_plane_s8<0>(img, ker, out, h, w, oh, ow, k, s, pad);
-      break;
-  }
+  dw_s8_active().fn(img, ker, out, h, w, oh, ow, k, s, pad);
+}
+
+const char* depthwise_s8_kernel_name() { return dw_s8_active().name; }
+
+int depthwise_s8_instance_count() {
+  return static_cast<int>(dw_s8_instances().size());
+}
+
+const char* depthwise_s8_instance_name(int i) {
+  return dw_s8_instances()[static_cast<size_t>(i)].name;
+}
+
+void depthwise_s8_run_instance(int i, const uint8_t* img, const int8_t* ker,
+                               int32_t* out, int64_t h, int64_t w, int64_t oh,
+                               int64_t ow, int64_t k, int64_t s, int64_t pad) {
+  dw_s8_instances()[static_cast<size_t>(i)].fn(img, ker, out, h, w, oh, ow, k,
+                                               s, pad);
 }
 
 }  // namespace nb

@@ -19,13 +19,18 @@ enum class ScratchSlot : int {
   kGemmOpB,        // materialized op(B) for the transposed paths
   kConvCols,       // im2col column matrix (forward and dW)
   kConvGradCols,   // column-space gradient scattered by col2im (dX)
+  kDepthwiseStage, // padded, phase-split int8 depthwise plane + tap table
   kSlotCount,
 };
 
 /// Returns this thread's buffer for `slot`, grown to hold at least `count`
-/// floats. Contents are unspecified. The pointer stays valid until the next
-/// acquire of the same slot on the same thread with a larger count (growth is
-/// geometric, so steady-state calls never reallocate).
+/// floats. The pointer stays valid until the next acquire of the same slot
+/// on the same thread with a larger count (growth is geometric, so
+/// steady-state calls never reallocate). A slot keeps what its user wrote
+/// between acquires: growth preserves the existing contents and zero-fills
+/// the rest, and a slot never acquired (or released) reads as zeros. Only
+/// one kernel owns each slot, so a kernel may cache per-shape data there
+/// (kDepthwiseStage does).
 float* scratch_acquire(ScratchSlot slot, size_t count);
 
 /// Total floats currently reserved by this thread's arena (introspection).

@@ -360,6 +360,46 @@ TEST(Int8Plan, SaturatedInputsAndExtremeScalesMatchQModel) {
   EXPECT_TRUE(bitwise_equal(m.forward(x, Backend::int8), oracle.forward(x)));
 }
 
+TEST(Int8Plan, McunetR96DepthwisePlanesMatchQModelAtBatch1And8) {
+  // The depthwise planes of MCUNet at r96, pinned: the r96 stem, 48x48 k3 s1
+  // and k5 s2, 24x24 k3 s2, 12x12 k3 s1 (residual) and k7 s2, then 6x6
+  // k7 s1 (residual), k5 s1 and k3 s2, with narrow channels so the oracle
+  // stays fast. Whatever depthwise instance this host dispatches must land
+  // memcmp-equal to QModel at both batch sizes.
+  Rng rng(96, 13);
+  FlatModel m;
+  m.set_input(96, 3);
+  const auto dw = [&](int64_t c, int64_t k, int64_t s) {
+    m.push(make_conv(rng, c, c, k, s, c, FlatAct::relu6, true));
+  };
+  m.push(make_conv(rng, 3, 8, 3, 2, 1, FlatAct::relu6, true));  // 96 -> 48
+  dw(8, 3, 1);
+  dw(8, 5, 2);  // 48 -> 24
+  m.push(make_conv(rng, 8, 12, 1, 1, 1, FlatAct::relu6, false));
+  dw(12, 3, 2);  // 24 -> 12
+  m.push(make_marker(OpKind::save));
+  dw(12, 3, 1);
+  m.push(make_marker(OpKind::add_saved));
+  dw(12, 7, 2);  // 12 -> 6
+  m.push(make_conv(rng, 12, 16, 1, 1, 1, FlatAct::relu6, false));
+  m.push(make_marker(OpKind::save));
+  dw(16, 7, 1);
+  m.push(make_marker(OpKind::add_saved));
+  dw(16, 5, 1);
+  dw(16, 3, 2);  // 6 -> 3
+  m.push(make_marker(OpKind::gap));
+  m.push(make_linear(rng, 16, 10));
+
+  const QModel oracle(m);
+  for (const int64_t batch : {int64_t{1}, int64_t{8}}) {
+    Rng xrng(960 + static_cast<uint64_t>(batch), 1);
+    const Tensor x = random_input(xrng, {batch, 3, 96, 96});
+    InferPlan plan(m, batch, 3, 96, 96, Backend::int8);
+    EXPECT_TRUE(bitwise_equal(plan.run(x), oracle.forward(x)))
+        << "batch=" << batch;
+  }
+}
+
 TEST(Int8Plan, RejectsUncalibratedPrograms) {
   Rng rng(5, 2);
   // act_scale == 0 (uncalibrated) must fail at plan-build time.

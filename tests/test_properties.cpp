@@ -167,6 +167,13 @@ struct ContractSweepCase {
   bool preserve;
 };
 
+// Without this, gtest prints the case as a raw byte dump that includes the
+// struct's uninitialised padding, so the test name changed from run to run.
+void PrintTo(const ContractSweepCase& tc, std::ostream* os) {
+  *os << core::to_string(tc.type) << "_" << tc.cin << "to" << tc.cout << "_r" << tc.ratio
+      << (tc.preserve ? "_preserve" : "_plain");
+}
+
 class ContractionSweep : public ::testing::TestWithParam<ContractSweepCase> {};
 
 TEST_P(ContractionSweep, ExactForEveryConfiguration) {

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "tensor/rng.h"
+#include "tensor/scratch.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 
@@ -216,6 +217,26 @@ TEST(Rng, SplitIndependence) {
   Rng parent2(7);
   Rng child2 = parent2.split();
   for (int i = 0; i < 16; ++i) EXPECT_EQ(child.next_u32(), child2.next_u32());
+}
+
+// The contract a kernel caching per-shape data in its slot relies on:
+// zeros when fresh, contents kept across acquires and across growth.
+TEST(Scratch, SlotKeepsContentsAcrossAcquiresAndGrowth) {
+  scratch_release();
+  const ScratchSlot slot = ScratchSlot::kDepthwiseStage;
+  float* a = scratch_acquire(slot, 8);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(a[i], 0.0f);
+  for (int i = 0; i < 8; ++i) a[i] = static_cast<float>(i + 1);
+  float* b = scratch_acquire(slot, 4);
+  EXPECT_EQ(b, a);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(b[i], static_cast<float>(i + 1));
+  const size_t big = scratch_reserved() * 4;
+  float* c = scratch_acquire(slot, big);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(c[i], static_cast<float>(i + 1));
+  for (size_t i = 8; i < big; ++i) ASSERT_EQ(c[i], 0.0f);
+  scratch_release();
+  EXPECT_EQ(scratch_acquire(slot, 8)[0], 0.0f);
+  scratch_release();
 }
 
 }  // namespace
