@@ -263,7 +263,6 @@ InferPlan::InferPlan(const FlatModel& model,
     stats_.arena_floats = off;
     stats_.arena_int8_bytes = qin_max + cols_max;
     qcols_off_ = qin_max;
-    qarena_.resize(static_cast<size_t>(stats_.arena_int8_bytes));
   } else {
     stats_.cols_floats = cols_max;
     stats_.arena_floats = off + cols_max;
@@ -281,7 +280,6 @@ InferPlan::InferPlan(const FlatModel& model,
   out_shape_ = spatial ? std::vector<int64_t>{batch, c, h, w}
                        : std::vector<int64_t>{batch, c};
   out_off_ = base[region];
-  arena_.resize(static_cast<size_t>(stats_.arena_floats));
 #ifndef NDEBUG
   // Debug builds prove every freshly-built plan safe before it can run:
   // live-range disjointness, dataflow, bounds, epilogue legality — see
@@ -299,22 +297,24 @@ void InferPlan::run_conv(const Step& s, const float* in, float* out,
   const int64_t row = n * plane;  // one channel's batch-interleaved row
   const int64_t k = s.kernel;
   if (s.depthwise) {
-    // One (channel, image) plane per work item, epilogue fused in. In the
-    // batch-interleaved layout channel ch of image i reads the contiguous
-    // plane at ch*n*in_hw + i*in_hw and writes ch*row + i*plane.
+    // In the batch-interleaved layout plane pl = ch*n + i (channel ch of
+    // image i) is contiguous at pl*in_hw and writes pl*plane, so a run of
+    // planes is one depthwise_planes call with the map ch = pl / n. The
+    // per-channel epilogue then covers each channel's planes of the run as
+    // one contiguous stretch of its row.
     const int64_t planes = s.cout * n;
     const int64_t grain =
         std::max<int64_t>(1, (int64_t{1} << 14) / std::max<int64_t>(plane, 1));
     parallel_for(planes, grain, [&](int64_t p0, int64_t p1) {
-      for (int64_t pl = p0; pl < p1; ++pl) {
+      depthwise_planes(in, s.wf, nullptr, out, p0, p1, DwPlaneMap{n, s.cout},
+                       s.in_h, s.in_w, s.out_h, s.out_w, k, s.stride, s.pad);
+      for (int64_t pl = p0; pl < p1;) {
         const int64_t ch = pl / n;
-        const int64_t i = pl % n;
-        float* orow = out + ch * row + i * plane;
-        depthwise_plane(in + (ch * n + i) * in_hw, s.wf + ch * k * k, orow,
-                        s.in_h, s.in_w, s.out_h, s.out_w, k, s.stride, s.pad,
-                        0.0f);
+        const int64_t end = std::min(p1, (ch + 1) * n);
         const float b = s.bias == nullptr ? 0.0f : s.bias[ch];
-        store_row(orow, plane, s.scales[ch], b, s.act);
+        store_row(out + pl * plane, (end - pl) * plane, s.scales[ch], b,
+                  s.act);
+        pl = end;
       }
     });
     return;
@@ -483,13 +483,41 @@ void InferPlan::run_linear_s8(const Step& s, const uint8_t* in,
   }
 }
 
-Tensor InferPlan::run(const Tensor& input) const {
+namespace {
+
+// Reallocates `buf` to exactly `count` elements, freeing the old buffer
+// first: workspace contents are scratch, so nothing is copied.
+template <typename T>
+void reallocate(std::vector<T>& buf, int64_t count) {
+  if (static_cast<int64_t>(buf.size()) == count) return;
+  buf = {};
+  buf.resize(static_cast<size_t>(count));
+}
+
+}  // namespace
+
+void PlanWorkspace::reserve(int64_t float_count, int64_t byte_count) {
+  if (static_cast<int64_t>(floats.size()) < float_count) {
+    reallocate(floats, float_count);
+  }
+  if (static_cast<int64_t>(bytes.size()) < byte_count) {
+    reallocate(bytes, byte_count);
+  }
+}
+
+void PlanWorkspace::fit(int64_t float_count, int64_t byte_count) {
+  reallocate(floats, float_count);
+  reallocate(bytes, byte_count);
+}
+
+Tensor InferPlan::run(const Tensor& input, PlanWorkspace& ws) const {
   NB_CHECK(input.dim() == 4 && input.size(0) == stats_.batch &&
                input.size(1) == stats_.channels &&
                input.size(2) == stats_.in_h && input.size(3) == stats_.in_w,
            "infer plan: input " + input.shape_str() +
                " does not match the planned geometry");
-  float* arena = arena_.data();
+  ws.reserve(stats_.arena_floats, stats_.arena_int8_bytes);
+  float* arena = ws.floats.data();
   // Entry: NCHW -> batch-interleaved gather (a plain copy at batch == 1,
   // where the layouts coincide).
   const int64_t n = stats_.batch;
@@ -538,15 +566,14 @@ Tensor InferPlan::run(const Tensor& input) const {
           // (the same rounding fake_quant_buffer applies, via the shared
           // quantize_levels_u8) and run the integer kernels. The float
           // input region is left untouched — it is dead after this op.
-          uint8_t* qin = qarena_.data();
+          uint8_t* qin = ws.bytes.data();
           parallel_for(s.in_floats, int64_t{1} << 14,
                        [&](int64_t b, int64_t e) {
                          quant::quantize_levels_u8(in + b, qin + b, e - b,
                                                    s.act_scale, s.act_bits);
                        });
           if (s.kind == OpKind::conv) {
-            run_conv_s8(s, qin, arena + s.out_off,
-                        qarena_.data() + qcols_off_);
+            run_conv_s8(s, qin, arena + s.out_off, qin + qcols_off_);
           } else {
             run_linear_s8(s, qin, arena + s.out_off);
           }

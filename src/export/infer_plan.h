@@ -60,11 +60,15 @@
 // scalar QModel oracle (enforced in tests/test_infer_runtime.cpp).
 //
 // A plan BORROWS its weight panels (it holds a shared_ptr keeping them
-// alive but owns no weight copies); what it owns is only the per-geometry
-// arena and step table, so building one plan per concurrent stream costs
-// arena memory, never weight memory. run() reuses the arena, so a single
-// plan must not be invoked from two threads at once — runtime::Session
-// wraps one plan cache per stream.
+// alive but owns no weight copies) and owns only its step table: the arena
+// it lays out is a size, not an allocation. The executor runs in a
+// PlanWorkspace the caller passes in, grown to the plan's arena on first
+// use, so one workspace serves every plan of a stream in turn —
+// runtime::Session keeps exactly one, sized to its largest cached plan,
+// instead of one arena per cached geometry. run(input) without a workspace
+// runs in a plan-owned one, allocated on its first call. Either way a
+// workspace must not be used by two threads at once, so a single plan must
+// not be invoked concurrently through run(input).
 #pragma once
 
 #include <cstdint>
@@ -139,6 +143,22 @@ struct PlanStats {
   int64_t peak_live_bytes() const { return peak_live_floats * 4; }
 };
 
+/// The memory a plan executes in: the float activation arena and, for
+/// Backend::int8, the byte arena. Plans lay out offsets into it; a
+/// workspace only ever holds one plan's run at a time, so any number of
+/// plans executed one after another can share it.
+struct PlanWorkspace {
+  std::vector<float> floats;
+  std::vector<uint8_t> bytes;
+
+  /// Grows each buffer to at least the given size.
+  void reserve(int64_t float_count, int64_t byte_count);
+  /// Resizes each buffer to exactly the given size, releasing any excess.
+  /// Either call frees a buffer before allocating its replacement (the
+  /// contents are scratch), so resizing never holds old + new at once.
+  void fit(int64_t float_count, int64_t byte_count);
+};
+
 class InferPlan {
  public:
   /// Shapes the whole program for an [batch, channels, in_h, in_w] input
@@ -160,9 +180,13 @@ class InferPlan {
   InferPlan(const FlatModel& model, int64_t batch, int64_t channels,
             int64_t in_h, int64_t in_w, Backend backend = Backend::fast);
 
-  /// Executes the program. `input` must match the planned geometry exactly.
-  /// Reuses the internal arena; not safe to call concurrently on one plan.
-  Tensor run(const Tensor& input) const;
+  /// Executes the program in `ws`, growing it to this plan's arena first
+  /// if it is smaller. `input` must match the planned geometry exactly.
+  Tensor run(const Tensor& input, PlanWorkspace& ws) const;
+
+  /// run() in a workspace owned by this plan, allocated on the first call
+  /// and reused after; not safe to call concurrently on one plan.
+  Tensor run(const Tensor& input) const { return run(input, own_workspace_); }
 
   const PlanStats& stats() const { return stats_; }
 
@@ -226,12 +250,13 @@ class InferPlan {
   std::vector<Step> steps_;
   std::vector<int64_t> out_shape_;
   int64_t out_off_ = 0;  // where the final activation lands in the arena
-  mutable std::vector<float> arena_;
-  // Byte arena for Backend::int8: [ quantized input | byte im2col cols ].
-  // Empty for float plans.
-  mutable std::vector<uint8_t> qarena_;
-  int64_t qcols_off_ = 0;  // byte offset of the cols region in qarena_
+  // Byte offset of the cols region in the byte arena (Backend::int8:
+  // [ quantized input | byte im2col cols ]).
+  int64_t qcols_off_ = 0;
   PlanStats stats_;
+  // Backs run(input) only; stays empty for plans run in a caller's
+  // workspace.
+  mutable PlanWorkspace own_workspace_;
 };
 
 }  // namespace nb::exporter

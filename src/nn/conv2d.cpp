@@ -93,16 +93,12 @@ Tensor Conv2d::forward_depthwise(const Tensor& x) {
   const int64_t planes = n * c;
   const int64_t grain =
       std::max<int64_t>(1, (int64_t{1} << 14) / std::max<int64_t>(oh * ow, 1));
+  // NCHW plane pl = i*c + ch uses channel pl % c.
+  const float* bias = opts_.bias ? bias_.value.data() : nullptr;
   parallel_for(planes, grain, [&](int64_t p0, int64_t p1) {
-    for (int64_t pl = p0; pl < p1; ++pl) {
-      const int64_t ch = pl % c;
-      const float* img = x.data() + pl * h * w;
-      const float* ker = weight_.value.data() + ch * k * k;
-      float* out = y.data() + pl * oh * ow;
-      const float b = opts_.bias ? bias_.value.at(ch) : 0.0f;
-      depthwise_plane(img, ker, out, h, w, oh, ow, k, opts_.stride,
-                      opts_.padding, b);
-    }
+    depthwise_planes(x.data(), weight_.value.data(), bias, y.data(), p0, p1,
+                     DwPlaneMap{1, c}, h, w, oh, ow, k, opts_.stride,
+                     opts_.padding);
   });
   return y;
 }

@@ -9,7 +9,15 @@ namespace nb::quant {
 namespace detail {
 void quantize_levels_u8_avx2(const float* src, uint8_t* dst, int64_t n,
                              float scale, float q);
+void fake_quant_buffer_avx2(float* data, int64_t n, float scale, float q);
 }  // namespace detail
+
+namespace {
+bool cpu_has_avx2() {
+  static const bool avx2 = __builtin_cpu_supports("avx2");
+  return avx2;
+}
+}  // namespace
 #endif
 
 int64_t qmax_for_bits(int bits) {
@@ -32,6 +40,16 @@ void fake_quant_(Tensor& t, float scale, int bits) {
 void fake_quant_buffer(float* data, int64_t n, float scale, int bits) {
   NB_CHECK(scale > 0.0f, "quant: non-positive scale");
   const float q = static_cast<float>(qmax_for_bits(bits));
+  // Runs over every conv/linear input of a float plan. The portable loop
+  // pays a libm roundf call per element on baseline x86-64 (no roundss
+  // before SSE4.1); the AVX2 instance reproduces it bit for bit, signed
+  // zeros and NaNs included (see quantize_u8_avx2.cpp).
+#if defined(NB_QUANT_U8_AVX2)
+  if (cpu_has_avx2()) {
+    detail::fake_quant_buffer_avx2(data, n, scale, q);
+    return;
+  }
+#endif
   for (int64_t i = 0; i < n; ++i) {
     const float level = std::clamp(std::round(data[i] / scale), -q, q);
     data[i] = level * scale;
@@ -48,8 +66,7 @@ void quantize_levels_u8(const float* src, uint8_t* dst, int64_t n, float scale,
   // below bit for bit (vdivps + exact half-away tie repair — see
   // quantize_u8_avx2.cpp).
 #if defined(NB_QUANT_U8_AVX2)
-  static const bool use_avx2 = __builtin_cpu_supports("avx2");
-  if (use_avx2) {
+  if (cpu_has_avx2()) {
     detail::quantize_levels_u8_avx2(src, dst, n, scale, q);
     return;
   }
@@ -58,6 +75,13 @@ void quantize_levels_u8(const float* src, uint8_t* dst, int64_t n, float scale,
     const float level = std::clamp(std::round(src[i] / scale), -q, q);
     dst[i] = static_cast<uint8_t>(static_cast<int32_t>(level) + 128);
   }
+}
+
+const char* quantize_kernel_name() {
+#if defined(NB_QUANT_U8_AVX2)
+  if (cpu_has_avx2()) return "avx2";
+#endif
+  return "portable";
 }
 
 std::vector<float> dequantize_levels(const int8_t* levels, size_t count) {

@@ -41,6 +41,10 @@ void fake_quant_buffer(float* data, int64_t n, float scale, int bits);
 void quantize_levels_u8(const float* src, uint8_t* dst, int64_t n, float scale,
                         int bits);
 
+/// Instance behind fake_quant_buffer and quantize_levels_u8, chosen once
+/// at runtime: "avx2" or "portable".
+const char* quantize_kernel_name();
+
 /// Converts serialized integer weight levels to float, one float per level.
 /// Scales are deliberately NOT applied: keeping the levels exact integers in
 /// float lets a GEMM over them produce the same products as an int8 MAC

@@ -183,11 +183,11 @@ std::future<Tensor> Engine::submit(const std::string& name,
   std::future<Tensor> fut = req.promise.get_future();
 
   bool rejected = false;
-  bool padded = false;
   RejectReason reason = RejectReason::Unknown;
   std::string what;
   {
     MutexLock lock(mu_);
+    submitted_.fetch_add(1);
     const auto now = Clock::now();
     req.enqueued = now;
     if (phase_ != Phase::running) {
@@ -235,7 +235,8 @@ std::future<Tensor> Engine::submit(const std::string& name,
             req.exec_h = rung.h;
             req.exec_w = rung.w;
           }
-          padded = req.padded();
+          accepted_.fetch_add(1);
+          if (req.padded()) padded_accepted_.fetch_add(1);
           entry.lanes[static_cast<int>(opts.lane)].push_back(std::move(req));
           ++queued_total_;
           if (!entry.in_active) {
@@ -246,21 +247,19 @@ std::future<Tensor> Engine::submit(const std::string& name,
       }
     }
   }
-  {
-    MutexLock lock(stats_mu_);
-    ++submitted_;
-    if (!rejected) {
-      ++accepted_;
-      if (padded) ++padded_accepted_;
-    } else if (reason == RejectReason::QueueFull) {
-      ++rejected_queue_full_;
-    } else if (reason == RejectReason::Deadline) {
-      ++rejected_deadline_;
-    } else if (reason == RejectReason::ShuttingDown) {
-      ++rejected_shutdown_;
+  if (rejected) {
+    {
+      MutexLock lock(stats_mu_);
+      if (reason == RejectReason::QueueFull) {
+        ++rejected_queue_full_;
+      } else if (reason == RejectReason::Deadline) {
+        ++rejected_deadline_;
+      } else if (reason == RejectReason::ShuttingDown) {
+        ++rejected_shutdown_;
+      }
     }
+    throw RejectedError(reason, what);
   }
-  if (rejected) throw RejectedError(reason, what);
   // notify_all: both idle workers and workers holding a partial batch open
   // for peers must see the new arrival.
   queue_cv_.notify_all();
@@ -600,17 +599,20 @@ Engine::Stats Engine::stats() const {
     s.queue_depth = queued_total_;
   }
   MutexLock lock(stats_mu_);
-  s.submitted = submitted_;
-  s.accepted = accepted_;
+  // Completions first, then accepted, then submitted: each count read is
+  // ordered after every admission the earlier ones include, so a reader
+  // always sees submitted >= accepted >= completed + failed.
   s.completed = completed_;
   s.failed = failed_;
+  s.padded_accepted = padded_accepted_.load();
+  s.accepted = accepted_.load();
+  s.submitted = submitted_.load();
   s.rejected_queue_full = rejected_queue_full_;
   s.rejected_deadline = rejected_deadline_;
   s.rejected_shutdown = rejected_shutdown_;
   s.dropped_deadline = dropped_deadline_;
   s.dropped_shutdown = dropped_shutdown_;
   s.completed_within_deadline = completed_within_deadline_;
-  s.padded_accepted = padded_accepted_;
   s.mixed_geometry_batches = mixed_geometry_batches_;
   s.batches = batches_;
   s.avg_batch = batches_ > 0 ? static_cast<double>(completed_ + failed_) /

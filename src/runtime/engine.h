@@ -345,9 +345,16 @@ class Engine {
   // for the Engine's lifetime.
   std::atomic<uint64_t> registry_generation_{0};
 
+  // Admission counters, bumped by submit() INSIDE its mu_ section, before
+  // the push: a worker can only pop (and then complete) a request after
+  // that section releases mu_, so every completion stats() can observe is
+  // ordered after its request's counts. Atomics rather than stats_mu_,
+  // which would nest inside mu_ and lengthen the admission hold.
+  std::atomic<int64_t> submitted_{0};
+  std::atomic<int64_t> accepted_{0};
+  std::atomic<int64_t> padded_accepted_{0};
+
   mutable Mutex stats_mu_;
-  int64_t submitted_ NB_GUARDED_BY(stats_mu_) = 0;
-  int64_t accepted_ NB_GUARDED_BY(stats_mu_) = 0;
   int64_t completed_ NB_GUARDED_BY(stats_mu_) = 0;
   int64_t failed_ NB_GUARDED_BY(stats_mu_) = 0;
   int64_t rejected_queue_full_ NB_GUARDED_BY(stats_mu_) = 0;
@@ -356,7 +363,6 @@ class Engine {
   int64_t dropped_deadline_ NB_GUARDED_BY(stats_mu_) = 0;
   int64_t dropped_shutdown_ NB_GUARDED_BY(stats_mu_) = 0;
   int64_t completed_within_deadline_ NB_GUARDED_BY(stats_mu_) = 0;
-  int64_t padded_accepted_ NB_GUARDED_BY(stats_mu_) = 0;
   int64_t mixed_geometry_batches_ NB_GUARDED_BY(stats_mu_) = 0;
   int64_t batches_ NB_GUARDED_BY(stats_mu_) = 0;
   double queue_ms_sum_ NB_GUARDED_BY(stats_mu_) = 0.0;

@@ -1,5 +1,7 @@
 #include "runtime/session.h"
 
+#include <algorithm>
+
 #include "export/plan_verify.h"
 #include "runtime/bucketing.h"
 #include "tensor/threadpool.h"
@@ -31,6 +33,14 @@ const exporter::InferPlan& Session::plan_for(int64_t batch, int64_t channels,
   while (plans_.size() > options_.max_cached_plans) {
     plans_.pop_back();
   }
+  // Size the shared workspace to the largest plan still cached: it grows
+  // with a new largest plan and gives memory back when one is evicted.
+  int64_t floats = 0, bytes = 0;
+  for (const exporter::InferPlan& plan : plans_) {
+    floats = std::max(floats, plan.stats().arena_floats);
+    bytes = std::max(bytes, plan.stats().arena_int8_bytes);
+  }
+  workspace_.fit(floats, bytes);
   return plans_.front();
 }
 
@@ -41,9 +51,9 @@ Tensor Session::run(const Tensor& input) {
   ++runs_;
   if (options_.threads == SessionOptions::Threads::serial) {
     SerialScope serial;
-    return plan.run(input);
+    return plan.run(input, workspace_);
   }
-  return plan.run(input);
+  return plan.run(input, workspace_);
 }
 
 Tensor Session::run_padded(const Tensor& input, int64_t target_h,
@@ -59,9 +69,8 @@ Tensor Session::run_padded(const Tensor& input, int64_t target_h,
 
 Session::MemoryStats Session::memory() const {
   MemoryStats m;
-  for (const exporter::InferPlan& plan : plans_) {
-    m.owned_arena_floats += plan.stats().arena_floats;
-  }
+  m.owned_arena_floats = static_cast<int64_t>(workspace_.floats.size());
+  m.owned_arena_int8_bytes = static_cast<int64_t>(workspace_.bytes.size());
   m.borrowed_weight_floats = model_->weight_panel_floats();
   m.weight_panel_addr = model_->panels().get();
   m.cached_plans = plans_.size();

@@ -1,10 +1,12 @@
 // Session — cheap per-stream execution state over a shared CompiledModel.
 //
 // A Session owns only what one stream needs: a small LRU cache of
-// geometry-keyed InferPlans (each plan = arena + step table, borrowing the
-// model's weight panels) and a thread budget. Creating a Session never
-// copies weights; MemoryStats splits owned arena floats from borrowed
-// panel floats so the zero-duplication invariant is assertable.
+// geometry-keyed InferPlans (each plan = step table, borrowing the model's
+// weight panels), ONE activation workspace every cached plan runs in, and
+// a thread budget. Plans of one stream never run at the same time, so the
+// workspace is sized to the largest cached plan, not their sum. Creating a
+// Session never copies weights; MemoryStats splits owned arena floats from
+// borrowed panel floats so the zero-duplication invariant is assertable.
 //
 // Concurrency model: one Session per stream. run() is thread-confined (no
 // internal lock — call it from one thread at a time), but any number of
@@ -82,8 +84,11 @@ class Session {
 
   /// Owned-vs-borrowed memory accounting (PlanStats-style).
   struct MemoryStats {
-    /// Arena floats this session owns across its cached plans.
+    /// Arena floats this session owns: its one workspace, shared by every
+    /// cached plan, so the largest cached plan's arena_floats.
     int64_t owned_arena_floats = 0;
+    /// Byte arena of the same workspace (int8 plans only, else 0).
+    int64_t owned_arena_int8_bytes = 0;
     /// Weight-panel floats the plans execute against — borrowed from the
     /// shared CompiledModel, NOT owned; identical for every session on it.
     int64_t borrowed_weight_floats = 0;
@@ -105,6 +110,9 @@ class Session {
   SessionOptions options_;
   // MRU-first plan cache; geometry lives in each plan's stats.
   std::list<exporter::InferPlan> plans_;
+  // The one arena every cached plan executes in, kept at exactly the
+  // largest cached plan's size.
+  exporter::PlanWorkspace workspace_;
   int64_t runs_ = 0;
 };
 

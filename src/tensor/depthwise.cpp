@@ -6,6 +6,13 @@
 namespace nb {
 
 namespace detail {
+#if defined(NB_DW_AVX512)
+bool depthwise_planes_avx512(const float* img, const float* ker,
+                             const float* bias, float* out, int64_t p0,
+                             int64_t p1, DwPlaneMap map, int64_t h, int64_t w,
+                             int64_t oh, int64_t ow, int64_t k, int64_t s,
+                             int64_t pad);
+#endif
 #if defined(NB_DW_S8_AVX2)
 void depthwise_plane_s8_avx2(const uint8_t* img, const int8_t* ker,
                              int32_t* out, int64_t h, int64_t w, int64_t oh,
@@ -39,14 +46,20 @@ void dw_plane(const float* img, const float* ker, float* out, int64_t h,
     const int64_t ki_lo = std::max<int64_t>(0, -iy0);
     const int64_t ki_hi = std::min<int64_t>(k, h - iy0);
     float* orow = out + oy * ow;
+    // Border output: the out-of-bounds taps are skipped by narrowing the
+    // column range, not by a per-tap branch. A conditional add is one that
+    // vectorizers if-convert into `acc += in_bounds ? prod : +0.0f`, and
+    // adding +0.0f turns a -0.0f sum into +0.0f.
     const auto edge = [&](int64_t ox) {
+      const int64_t ix0 = ox * s - pad;
+      const int64_t kj_lo = std::max<int64_t>(0, -ix0);
+      const int64_t kj_hi = std::min<int64_t>(k, w - ix0);
       float acc = bias;
       for (int64_t ki = ki_lo; ki < ki_hi; ++ki) {
         const float* srow = img + (iy0 + ki) * w;
         const float* krow = ker + ki * k;
-        for (int64_t kj = 0; kj < k; ++kj) {
-          const int64_t ix = ox * s - pad + kj;
-          if (ix >= 0 && ix < w) acc += krow[kj] * srow[ix];
+        for (int64_t kj = kj_lo; kj < kj_hi; ++kj) {
+          acc += krow[kj] * srow[ix0 + kj];
         }
       }
       orow[ox] = acc;
@@ -114,6 +127,62 @@ void dw_plane_s8(const uint8_t* img, const int8_t* ker, int32_t* out,
       orow[ox] = acc;
     }
   }
+}
+
+using DwFn = void (*)(const float*, const float*, const float*, float*,
+                     int64_t, int64_t, DwPlaneMap, int64_t, int64_t, int64_t,
+                     int64_t, int64_t, int64_t, int64_t);
+
+void dw_generic(const float* img, const float* ker, const float* bias,
+                float* out, int64_t p0, int64_t p1, DwPlaneMap map, int64_t h,
+                int64_t w, int64_t oh, int64_t ow, int64_t k, int64_t s,
+                int64_t pad) {
+  for (int64_t pl = p0; pl < p1; ++pl) {
+    const int64_t ch = map.channel(pl);
+    depthwise_plane(img + pl * h * w, ker + ch * k * k, out + pl * oh * ow, h,
+                    w, oh, ow, k, s, pad, bias == nullptr ? 0.0f : bias[ch]);
+  }
+}
+
+#if defined(NB_DW_AVX512)
+// The AVX-512 kernel declines (returns false) only on planes too large for
+// its 32-bit gather offsets; those run the generic loop.
+void dw_avx512(const float* img, const float* ker, const float* bias,
+               float* out, int64_t p0, int64_t p1, DwPlaneMap map, int64_t h,
+               int64_t w, int64_t oh, int64_t ow, int64_t k, int64_t s,
+               int64_t pad) {
+  if (!detail::depthwise_planes_avx512(img, ker, bias, out, p0, p1, map, h, w,
+                                       oh, ow, k, s, pad)) {
+    dw_generic(img, ker, bias, out, p0, p1, map, h, w, oh, ow, k, s, pad);
+  }
+}
+#endif
+
+struct DwInstance {
+  const char* name;
+  DwFn fn;
+};
+
+// Same convention as the int8 list below: every instance this build and
+// CPU can run, slowest first, all bitwise equal; the dispatcher takes the
+// last one.
+const std::vector<DwInstance>& dw_instances() {
+  static const std::vector<DwInstance> list = [] {
+    std::vector<DwInstance> v;
+    v.push_back({"dw-f32-generic", &dw_generic});
+#if defined(NB_DW_AVX512)
+    if (__builtin_cpu_supports("avx512f")) {
+      v.push_back({"dw-f32-avx512", &dw_avx512});
+    }
+#endif
+    return v;
+  }();
+  return list;
+}
+
+const DwInstance& dw_active() {
+  static const DwInstance& active = dw_instances().back();
+  return active;
 }
 
 using DwS8Fn = void (*)(const uint8_t*, const int8_t*, int32_t*, int64_t,
@@ -204,6 +273,32 @@ void depthwise_plane(const float* img, const float* ker, float* out,
       dw_plane<0>(img, ker, out, h, w, oh, ow, k, s, pad, bias);
       break;
   }
+}
+
+void depthwise_planes(const float* img, const float* ker, const float* bias,
+                      float* out, int64_t p0, int64_t p1, DwPlaneMap map,
+                      int64_t h, int64_t w, int64_t oh, int64_t ow, int64_t k,
+                      int64_t s, int64_t pad) {
+  dw_active().fn(img, ker, bias, out, p0, p1, map, h, w, oh, ow, k, s, pad);
+}
+
+const char* depthwise_kernel_name() { return dw_active().name; }
+
+int depthwise_instance_count() {
+  return static_cast<int>(dw_instances().size());
+}
+
+const char* depthwise_instance_name(int i) {
+  return dw_instances()[static_cast<size_t>(i)].name;
+}
+
+void depthwise_run_instance(int i, const float* img, const float* ker,
+                            const float* bias, float* out, int64_t p0,
+                            int64_t p1, DwPlaneMap map, int64_t h, int64_t w,
+                            int64_t oh, int64_t ow, int64_t k, int64_t s,
+                            int64_t pad) {
+  dw_instances()[static_cast<size_t>(i)].fn(img, ker, bias, out, p0, p1, map,
+                                            h, w, oh, ow, k, s, pad);
 }
 
 void depthwise_plane_s8(const uint8_t* img, const int8_t* ker, int32_t* out,

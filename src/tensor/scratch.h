@@ -20,6 +20,7 @@ enum class ScratchSlot : int {
   kConvCols,       // im2col column matrix (forward and dW)
   kConvGradCols,   // column-space gradient scattered by col2im (dX)
   kDepthwiseStage, // padded, phase-split int8 depthwise plane + tap table
+  kDepthwiseLanes, // float depthwise planes transposed into 16 lanes
   kSlotCount,
 };
 

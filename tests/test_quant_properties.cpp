@@ -2,7 +2,11 @@
 // orderings that must hold for any tensor, bit width, and channel layout.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "quant/quantize.h"
 #include "tensor/rng.h"
@@ -145,6 +149,59 @@ TEST(QuantProperties, OffsetU8LevelsMatchPortableExpressionBitwise) {
               << "x=" << src[i] << " scale=" << scale << " bits=" << bits
               << " i=" << i << " n=" << n;
         }
+      }
+    }
+  }
+}
+
+TEST(QuantProperties, FakeQuantBufferMatchesScalarExpressionBitwise) {
+  // fake_quant_buffer dispatches to an AVX2 instance on x86 that must be
+  // memcmp-equal to the portable expression
+  //   clamp(round(x / scale), -q, q) * scale
+  // for EVERY float: signed zeros (round(-0.3) is -0.0, which a masked
+  // +-1 tie repair would turn into +0.0), NaNs of any payload (std::clamp
+  // lets NaN through), +-inf (clamped to +-q), denormals, and exact ties.
+  // The sweep covers every 997th bit pattern of the 2^32 plus the tie
+  // points, at pow2 and non-pow2 scales.
+  std::vector<float> src;
+  for (uint64_t b = 0; b < (uint64_t{1} << 32); b += 997) {
+    const auto bits32 = static_cast<uint32_t>(b);
+    float f;
+    std::memcpy(&f, &bits32, sizeof(f));
+    src.push_back(f);
+  }
+  for (const float f :
+       {0.0f, -0.0f, std::numeric_limits<float>::infinity(),
+        -std::numeric_limits<float>::infinity(),
+        std::numeric_limits<float>::quiet_NaN(),
+        -std::numeric_limits<float>::quiet_NaN(),
+        std::numeric_limits<float>::denorm_min(), -1e-30f}) {
+    src.push_back(f);
+  }
+  for (const int bits : {2, 4, 8, 16}) {
+    const int64_t q = qmax_for_bits(bits);
+    const float qf = static_cast<float>(q);
+    for (const float scale : {1.0f / 64.0f, 0.0375f, 3.1f, 1e-8f}) {
+      std::vector<float> in = src;
+      for (int64_t k = -q - 2; k <= q + 2; k += std::max<int64_t>(1, q / 64)) {
+        in.push_back((static_cast<float>(k) + 0.5f) * scale);
+        in.push_back(-(static_cast<float>(k) + 0.5f) * scale);
+      }
+      std::vector<float> got = in;
+      fake_quant_buffer(got.data(), static_cast<int64_t>(got.size()), scale,
+                        bits);
+      std::vector<float> want(in.size());
+      for (size_t i = 0; i < in.size(); ++i) {
+        want[i] = std::clamp(std::round(in[i] / scale), -qf, qf) * scale;
+      }
+      if (std::memcmp(got.data(), want.data(), got.size() * sizeof(float)) ==
+          0) {
+        continue;
+      }
+      for (size_t i = 0; i < in.size(); ++i) {
+        ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(float)), 0)
+            << "x=" << in[i] << " got=" << got[i] << " want=" << want[i]
+            << " scale=" << scale << " bits=" << bits << " i=" << i;
       }
     }
   }

@@ -182,6 +182,80 @@ TEST(Session, PlanCacheEvictsLeastRecentlyUsed) {
   EXPECT_EQ(session.runs(), 5);
 }
 
+// One Session keeps ONE workspace for all its cached plans. Serving every
+// batch size b1..b8 at two geometries in interleaved order — with and
+// without eviction, through run and run_padded, float and int8 — must stay
+// memcmp-equal to a fresh single-plan Session per call, and the workspace
+// must be the largest cached plan's arena, not the sum of them.
+void expect_shared_workspace_exact(exporter::Backend backend) {
+  const auto model = CompiledModel::compile(small_graph(34), backend);
+  const int64_t sides[] = {16, 20};
+  const int64_t batches[] = {3, 8, 1, 5, 2, 7, 4, 6};
+  const auto arena = [&](int64_t batch, int64_t side) {
+    const exporter::InferPlan plan(model->program(), model->panels(), batch,
+                                   3, side, side, backend);
+    return std::make_pair(plan.stats().arena_floats,
+                          plan.stats().arena_int8_bytes);
+  };
+
+  SessionOptions keep_all;
+  keep_all.max_cached_plans = 16;
+  SessionOptions evicting;
+  evicting.max_cached_plans = 3;
+  Session all(model, keep_all), few(model, evicting);
+  int64_t sum_floats = 0;
+  uint64_t seed = 300;
+  for (int round = 0; round < 2; ++round) {
+    for (const int64_t batch : batches) {
+      for (const int64_t side : sides) {
+        const Tensor x = random_input(++seed, {batch, 3, side, side});
+        Session fresh(model);
+        const Tensor want = fresh.run(x);
+        EXPECT_TRUE(bitwise_equal(all.run(x), want))
+            << "b" << batch << " " << side << "x" << side;
+        EXPECT_TRUE(bitwise_equal(few.run(x), want))
+            << "b" << batch << " " << side << "x" << side << " (evicting)";
+        // The pad-to-bucket path shares the same plans and workspace.
+        const Tensor small = random_input(++seed, {batch, 3, side - 3,
+                                                   side - 1});
+        Session fresh_padded(model);
+        EXPECT_TRUE(bitwise_equal(all.run_padded(small, side, side),
+                                  fresh_padded.run_padded(small, side, side)))
+            << "padded b" << batch << " " << side << "x" << side;
+        if (round == 0) sum_floats += arena(batch, side).first;
+      }
+    }
+  }
+  const auto largest = arena(8, 20);
+  const Session::MemoryStats m = all.memory();
+  EXPECT_EQ(m.cached_plans, 16u);
+  EXPECT_EQ(m.owned_arena_floats, largest.first);
+  EXPECT_EQ(m.owned_arena_int8_bytes, largest.second);
+  EXPECT_LT(m.owned_arena_floats, sum_floats);
+
+  // After the large plans are evicted the workspace shrinks to the
+  // largest plan still cached.
+  for (const int64_t batch : {1, 2, 1}) {
+    for (const int64_t side : sides) {
+      (void)few.run(random_input(++seed, {batch, 3, side, side}));
+    }
+  }
+  // Cached now (MRU first): b1 20x20, b1 16x16, b2 20x20.
+  const Session::MemoryStats mf = few.memory();
+  EXPECT_EQ(mf.cached_plans, 3u);
+  const auto b1 = arena(1, 20), b2 = arena(2, 20);
+  EXPECT_EQ(mf.owned_arena_floats, std::max(b1.first, b2.first));
+  EXPECT_EQ(mf.owned_arena_int8_bytes, std::max(b1.second, b2.second));
+}
+
+TEST(Session, OneWorkspaceServesEveryCachedPlanBitwise) {
+  expect_shared_workspace_exact(exporter::Backend::fast);
+}
+
+TEST(Session, OneWorkspaceServesEveryCachedInt8PlanBitwise) {
+  expect_shared_workspace_exact(exporter::Backend::int8);
+}
+
 // The acceptance stress: >= 4 threads over one shared CompiledModel, each
 // with a private Session and a distinct input stream, must reproduce the
 // single-threaded goldens bit for bit (no arena cross-talk, no weight
@@ -907,6 +981,100 @@ TEST(EngineOverload, BucketedMixedGeometryOverloadKeepsTheContract) {
   EXPECT_EQ(done.queue_depth, 0);
   EXPECT_EQ(done.accepted, done.completed + done.failed +
                                done.dropped_deadline + done.dropped_shutdown);
+}
+
+/// Fails the first batch and every `period`-th after it, counted across
+/// workers.
+class EveryNthBatchFails : public FaultInjector {
+ public:
+  explicit EveryNthBatchFails(int64_t period) : period_(period) {}
+  void on_batch_execute(const std::string&, int64_t) override {
+    if (batches_++ % period_ == 0) throw std::runtime_error("injected");
+  }
+
+ private:
+  const int64_t period_;
+  std::atomic<int64_t> batches_{0};
+};
+
+TEST(EngineStats, AdmissionCountsNeverTrailCompletions) {
+  // Every stats() read taken while traffic flows must satisfy
+  //   submitted >= accepted >= completed + failed.
+  // submit() counts a request before the push that makes it visible to
+  // workers, so no completion can be observed ahead of its admission. The
+  // seeded mix covers padded (bucketed) and exact admissions, queue-full
+  // and expired-deadline rejections, and injected batch failures, from two
+  // submitting threads against two workers and a polling reader.
+  const auto model = CompiledModel::compile(small_graph(118));
+  EngineOptions opts;
+  opts.workers = 2;
+  opts.batching.max_wait_us = 50;
+  opts.fault_injector = std::make_shared<EveryNthBatchFails>(3);
+  Engine engine(opts);
+  ModelQos qos;
+  qos.max_queue_depth = 6;
+  qos.bucketing.ladder = {{16, 16}};
+  engine.register_model("m", model, qos);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> reads{0}, violations{0};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      const Engine::Stats st = engine.stats();
+      ++reads;
+      if (st.submitted < st.accepted ||
+          st.accepted < st.completed + st.failed) {
+        ++violations;
+      }
+    }
+  });
+
+  std::vector<std::thread> submitters;
+  std::atomic<int64_t> resolved{0};
+  for (int t = 0; t < 2; ++t) {
+    submitters.emplace_back([&, t] {
+      Rng rng(2026, static_cast<uint64_t>(t));
+      std::vector<std::future<Tensor>> futures;
+      for (int i = 0; i < 60; ++i) {
+        const int64_t side = rng.bernoulli(0.5f) ? 16 : 14;
+        SubmitOptions so;
+        // An absolute deadline already in the past is rejected at
+        // admission: counted as submitted, never accepted.
+        if (rng.randint(8) == 0) {
+          so.deadline = std::chrono::steady_clock::now() -
+                        std::chrono::milliseconds(1);
+        }
+        try {
+          futures.push_back(engine.submit(
+              "m", random_input(7000 + 100 * t + i, {3, side, side}), so));
+        } catch (const RejectedError&) {
+        }
+      }
+      for (auto& f : futures) {
+        try {
+          (void)f.get();
+        } catch (const std::exception&) {
+        }
+        ++resolved;
+      }
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  engine.shutdown(DrainPolicy::drain);
+  stop.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_GT(reads.load(), 0);
+  EXPECT_EQ(violations.load(), 0) << "of " << reads.load() << " reads";
+  const Engine::Stats st = engine.stats();
+  EXPECT_EQ(st.submitted, 120);
+  EXPECT_EQ(st.accepted, resolved.load());
+  EXPECT_EQ(st.accepted, st.completed + st.failed + st.dropped_deadline +
+                             st.dropped_shutdown);
+  EXPECT_EQ(st.submitted, st.accepted + st.rejected_queue_full +
+                              st.rejected_deadline + st.rejected_shutdown);
+  EXPECT_GT(st.rejected_deadline, 0);
+  EXPECT_GT(st.failed, 0);
 }
 
 TEST(EngineConcurrency, StartupTrafficShutdownHammer) {

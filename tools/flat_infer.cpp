@@ -19,7 +19,8 @@
 //              requantization; requires a calibrated artifact), or the
 //              reference interpreter. int8 works in both plan and
 //              --sessions modes and prints the dispatched s8 GEMM kernel
-//              and depthwise instance.
+//              and depthwise instance; fast prints the dispatched sgemm
+//              kernel, float depthwise instance and fake-quant instance.
 //   --batch    plans the batched one-GEMM-per-conv lowering at this size;
 //              for N > 1 the fast backend also times the N images run one
 //              at a time through a batch-1 plan and prints per-image vs
@@ -42,10 +43,12 @@
 #include "export/flat_model.h"
 #include "export/infer_plan.h"
 #include "export/plan_verify.h"
+#include "quant/quantize.h"
 #include "runtime/compiled_model.h"
 #include "runtime/percentile.h"
 #include "runtime/session.h"
 #include "tensor/depthwise.h"
+#include "tensor/gemm.h"
 #include "tensor/gemm_s8.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
@@ -165,6 +168,10 @@ int main(int argc, char** argv) {
                 "kernel %s, depthwise %s)\n",
                 static_cast<long long>(st.arena_int8_bytes),
                 gemm_s8_kernel_name(), depthwise_s8_kernel_name());
+  } else {
+    std::printf("float path:   sgemm %s, depthwise %s, fake-quant %s\n",
+                gemm_kernel_name(), depthwise_kernel_name(),
+                quant::quantize_kernel_name());
   }
 
   if (verify) {
